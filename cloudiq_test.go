@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cloudiq/internal/pageio"
 	"cloudiq/internal/rfrb"
 )
 
@@ -244,6 +245,57 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = r.Rollback(ctxb())
+}
+
+// TestIOStatsMetersCloudDbspace checks that Config.IOStats meters a cloud
+// dbspace's traffic at both ends of its pageio chain: the dbspace layer the
+// engine calls and the store terminal below the retry stage.
+func TestIOStatsMetersCloudDbspace(t *testing.T) {
+	reg := pageio.NewRegistry()
+	db, err := Open(ctxb(), Config{IOStats: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	store := NewMemObjectStore(ObjectStoreConfig{})
+	if err := db.AttachCloudDbspace("user", store, CloudOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	tbl, err := tx.CreateTable(ctxb(), "user", "t", demoSchema(), TableOptions{SegRows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Append(ctxb(), fillBatch(24, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	r := db.Begin()
+	defer r.Rollback(ctxb())
+	rt, err := r.Table(ctxb(), "user", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seg := 0; seg < rt.Segments(); seg++ {
+		if _, err := rt.ReadSegment(ctxb(), seg, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"dbspace:user", "store:user"} {
+		layer, ok := snap[name]
+		if !ok {
+			t.Fatalf("no %s layer metered; layers = %v", name, snap)
+		}
+		if layer.Write.Calls == 0 || layer.Write.Items == 0 {
+			t.Errorf("%s: no writes metered: %+v", name, layer.Write)
+		}
+		if layer.Read.Calls == 0 {
+			t.Errorf("%s: no reads metered: %+v", name, layer.Read)
+		}
+	}
 }
 
 func TestSnapshotsAndPointInTimeRestore(t *testing.T) {

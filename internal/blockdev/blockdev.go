@@ -185,9 +185,15 @@ func (d *MemDevice) WriteAt(ctx context.Context, p []byte, off int64) error {
 		if !d.cfg.Growable {
 			return fmt.Errorf("write [%d,%d) of %d: %w", off, end, len(d.data), ErrOutOfRange)
 		}
-		grown := make([]byte, end)
-		copy(grown, d.data)
-		d.data = grown
+		// Double the capacity: a log appended one record at a time must
+		// not copy the whole image on every write. The length stays the
+		// written extent, which Size reports.
+		if end > int64(cap(d.data)) {
+			grown := make([]byte, len(d.data), max(end, 2*int64(cap(d.data))))
+			copy(grown, d.data)
+			d.data = grown
+		}
+		d.data = d.data[:end]
 	}
 	if torn >= 0 {
 		copy(d.data[off:], p[:torn])

@@ -3,6 +3,7 @@ package blockdev
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -59,6 +60,30 @@ func TestGrowableDevice(t *testing.T) {
 	}
 	if string(got) != "abcdef" {
 		t.Fatalf("ReadAt = %q", got)
+	}
+}
+
+// TestGrowableAppendIsAmortised appends 1 MiB in 4 KiB writes, the way a WAL
+// grows its log device. Growth must be geometric: copying the whole image on
+// every append allocates ~128 MiB here, amortised growth a small multiple of
+// the final size.
+func TestGrowableAppendIsAmortised(t *testing.T) {
+	const total, chunk = 1 << 20, 4 << 10
+	d := NewMem(Config{Growable: true})
+	buf := make([]byte, chunk)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := int64(0); off < total; off += chunk {
+		if err := d.WriteAt(ctxb(), buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := d.Size(); got != total {
+		t.Fatalf("Size = %d, want the written extent %d", got, total)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*total {
+		t.Fatalf("appending %d bytes allocated %d bytes, want <= %d", total, alloc, 4*total)
 	}
 }
 

@@ -74,11 +74,12 @@ const (
 	// upload as if the process died before it drained.
 	OCMUploadDrop Site = "ocm.uploaddrop"
 
-	// Coordinator<->writer RPCs (internal/multiplex and the crashsim
-	// closures). A fault on RPCNotify models a lost commit notification.
-	// RPCProbe fails a health probe — a partition between the cluster
-	// controller and the probed node, which can make a live coordinator
-	// look dead and trigger a (fenced, therefore safe) failover.
+	// Coordinator<->writer RPCs (internal/multiplex and the simtest
+	// cluster closures). A fault on RPCNotify models a lost commit
+	// notification. RPCProbe fails a health probe — a partition between
+	// the cluster controller and the probed node, which can make a live
+	// coordinator look dead and trigger a (fenced, therefore safe)
+	// failover.
 	RPCAlloc   Site = "rpc.alloc"
 	RPCNotify  Site = "rpc.notify"
 	RPCRestart Site = "rpc.restart"

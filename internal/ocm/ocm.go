@@ -97,6 +97,7 @@ type entry struct {
 	blocks uint64
 	size   int
 	state  entryState
+	ready  bool // the device copy is written; reads may hit it
 	pins   int
 	lru    *list.Element // nil while not in the LRU
 	data   []byte        // retained until upload completes (uploading state)
@@ -267,7 +268,7 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, error) {
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if ent, ok := c.index[key]; ok && ent.state != stateFailed {
+	if ent, ok := c.index[key]; ok && ent.ready && ent.state != stateFailed {
 		ent.pins++
 		c.touch(ent)
 		c.stats.Hits++
@@ -341,6 +342,7 @@ func (c *Cache) fill(ctx context.Context, key string, data []byte) {
 		c.removeLocked(ent)
 		c.stats.FillDrops++
 	} else {
+		ent.ready = true
 		ent.lru = c.lruList.PushFront(ent)
 	}
 	c.cond.Broadcast()
@@ -383,6 +385,7 @@ func (c *Cache) PutBack(ctx context.Context, key string, data []byte) error {
 	}
 
 	c.mu.Lock()
+	ent.ready = true
 	ent.pins--
 	c.queue.PushBack(uploadJob{ent: ent, enqueuedAt: c.cfg.Trace.Now(), depth: c.queue.Len()})
 	c.cond.Broadcast()
@@ -565,12 +568,19 @@ func (c *Cache) Quiesce() {
 // budget as writes, not fail permanently on the first hiccup.
 func (c *Cache) Delete(ctx context.Context, key string) error {
 	c.mu.Lock()
-	if ent, ok := c.index[key]; ok {
-		// Wait for any pending upload to settle so block reuse is safe.
-		for ent.state == stateUploading || ent.pins > 0 {
-			c.cond.Wait()
+	for {
+		ent, ok := c.index[key]
+		if !ok {
+			break
 		}
-		c.removeLocked(ent)
+		if ent.state != stateUploading && ent.pins == 0 {
+			c.removeLocked(ent)
+			break
+		}
+		// Wait for any pending upload or read to settle so block reuse is
+		// safe, then look again: the entry may have been evicted meanwhile,
+		// and releasing its blocks twice would hand them to two entries.
+		c.cond.Wait()
 	}
 	c.mu.Unlock()
 	return c.upload.Delete(ctx, pageio.Ref{Key: key})

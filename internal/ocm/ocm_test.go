@@ -11,6 +11,7 @@ import (
 
 	"cloudiq/internal/blockdev"
 	"cloudiq/internal/faultinject"
+	"cloudiq/internal/iomodel"
 	"cloudiq/internal/objstore"
 )
 
@@ -343,6 +344,33 @@ func TestCloseDrainsPendingUploads(t *testing.T) {
 	}
 	if got := store.Len(); got != 50 {
 		t.Fatalf("store has %d objects after Close, want 50", got)
+	}
+}
+
+// TestGetDuringFillReadsStore reads a page while its asynchronous cache fill
+// is still writing the device. The in-flight entry must not serve a hit —
+// its blocks hold no data yet — so every read returns the stored bytes.
+func TestGetDuringFillReadsStore(t *testing.T) {
+	store := objstore.NewMem(objstore.Config{})
+	dev := blockdev.NewMem(blockdev.Config{
+		Capacity:     1 << 14,
+		WriteLatency: iomodel.Latency{Base: 30 * time.Millisecond},
+		Scale:        iomodel.NewScale(1),
+	})
+	c, err := New(Config{Device: dev, Store: store, BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.PutThrough(ctxb(), "k", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		got, err := c.Get(ctxb(), "k")
+		if err != nil || string(got) != "payload" {
+			t.Fatalf("read %d during fill: Get = %q, %v", i, got, err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

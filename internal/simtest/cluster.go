@@ -11,8 +11,14 @@ import (
 	"cloudiq/internal/faultinject"
 	"cloudiq/internal/iomodel"
 	"cloudiq/internal/objstore"
-	"cloudiq/internal/pageio"
 	"cloudiq/internal/rfrb"
+)
+
+const (
+	// space is the cloud dbspace every node attaches.
+	space = "user"
+	// restartAttempts bounds restart-announcement retries.
+	restartAttempts = 5
 )
 
 // AmbientFunc re-arms a plan's ambient (probabilistic) fault rules. The
@@ -28,12 +34,8 @@ type ClusterConfig struct {
 	Plan *faultinject.Plan
 	// Store is the shared object store. Required.
 	Store *objstore.MemStore
-	// Space is the cloud dbspace name every node attaches. Default "user".
-	Space string
 	// Scale, when non-nil, charges engine retry backoff to simulated time.
 	Scale *iomodel.Scale
-	// IOStats optionally collects per-layer pageio counters.
-	IOStats *pageio.StatsRegistry
 	// BrokenRetry ablates retry-until-found reads to a single attempt on
 	// every node (the harness-has-teeth hook).
 	BrokenRetry bool
@@ -43,8 +45,6 @@ type ClusterConfig struct {
 	// the given logical clock and SnapshotRetention.
 	SnapshotNow       func() int64
 	SnapshotRetention int64
-	// RestartAttempts bounds restart-announcement retries. Default 5.
-	RestartAttempts int
 }
 
 // Cluster owns the durable substrate of a simulated multiplex — the shared
@@ -53,8 +53,8 @@ type ClusterConfig struct {
 // devices and store survive); reopening replays its WAL. All methods are for
 // single-goroutine deterministic drivers; the same wiring (allocation RPC
 // gated by RPCAlloc, notifications dropped by RPCNotify outside recovery,
-// restart announcements gated by RPCRestart) backs both the iqsim runner and
-// the crashsim suite.
+// restart announcements gated by RPCRestart) backs the iqsim runner, its
+// crash and crash-commit steps, and the failover benchmark.
 type Cluster struct {
 	cfg ClusterConfig
 
@@ -95,12 +95,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Plan == nil || cfg.Store == nil {
 		return nil, errors.New("simtest: cluster requires a fault plan and a store")
 	}
-	if cfg.Space == "" {
-		cfg.Space = "user"
-	}
-	if cfg.RestartAttempts <= 0 {
-		cfg.RestartAttempts = 5
-	}
 	return &Cluster{
 		cfg:        cfg,
 		coordDev:   blockdev.NewMem(blockdev.Config{Growable: true}),
@@ -111,7 +105,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // Space returns the cloud dbspace name.
-func (c *Cluster) Space() string { return c.cfg.Space }
+func (c *Cluster) Space() string { return space }
 
 // Coord returns the coordinator handle, nil while crashed.
 func (c *Cluster) Coord() *cloudiq.Database { return c.coord }
@@ -205,12 +199,11 @@ func (c *Cluster) OpenCoord(ctx context.Context) error {
 		PrefetchWorkers: 1, // deterministic flush order for the fault streams
 		Faults:          c.cfg.Plan,
 		Scale:           c.cfg.Scale,
-		IOStats:         c.cfg.IOStats,
 	})
 	if err != nil {
 		return fmt.Errorf("simtest: open coordinator: %w", err)
 	}
-	if err := db.AttachCloudDbspace(c.cfg.Space, c.cfg.Store, cloudiq.CloudOptions{ReadRetries: c.readRetries()}); err != nil {
+	if err := db.AttachCloudDbspace(space, c.cfg.Store, cloudiq.CloudOptions{ReadRetries: c.readRetries()}); err != nil {
 		return err
 	}
 	if c.cfg.SnapshotNow != nil {
@@ -266,7 +259,6 @@ func (c *Cluster) OpenWriter(ctx context.Context, name string) error {
 		PrefetchWorkers: 1, // deterministic flush order for the fault streams
 		Faults:          c.cfg.Plan,
 		Scale:           c.cfg.Scale,
-		IOStats:         c.cfg.IOStats,
 		AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) {
 			if err := c.cfg.Plan.Check(faultinject.RPCAlloc, node); err != nil {
 				return rfrb.Range{}, err
@@ -298,7 +290,7 @@ func (c *Cluster) OpenWriter(ctx context.Context, name string) error {
 	if err != nil {
 		return fmt.Errorf("simtest: open writer %s: %w", name, err)
 	}
-	if err := w.AttachCloudDbspace(c.cfg.Space, c.cfg.Store, cloudiq.CloudOptions{ReadRetries: c.readRetries()}); err != nil {
+	if err := w.AttachCloudDbspace(space, c.cfg.Store, cloudiq.CloudOptions{ReadRetries: c.readRetries()}); err != nil {
 		return err
 	}
 	c.inRecovery = true
@@ -317,12 +309,12 @@ func (c *Cluster) CrashWriter(name string) { delete(c.writers, name) }
 // AnnounceRestart delivers a restarted writer's announcement to the
 // coordinator, which garbage collects the writer's orphaned key allocations.
 // The announcement RPC fails transiently under the RPCRestart fault and is
-// retried up to RestartAttempts times; if it never lands (or the coordinator
+// retried up to restartAttempts times; if it never lands (or the coordinator
 // is down), the writer stays gc-pending — orphaned keys legitimately survive
 // until a later announcement, and GCPending tells the leak oracle to stand
 // down. Returns whether the announcement landed.
 func (c *Cluster) AnnounceRestart(ctx context.Context, name string) (bool, error) {
-	for attempt := 0; attempt < c.cfg.RestartAttempts; attempt++ {
+	for attempt := 0; attempt < restartAttempts; attempt++ {
 		if c.cfg.Plan.Check(faultinject.RPCRestart, name) != nil {
 			continue
 		}
@@ -342,43 +334,34 @@ func (c *Cluster) AnnounceRestart(ctx context.Context, name string) (bool, error
 	return false, nil
 }
 
-// DoomedCommit commits a transaction under a mid-flush crash schedule: after
-// flushes successful page uploads every storage operation fails (the process
-// died), the commit WAL record tears, and the automatic rollback cannot
-// reach the log or the store either. The commit must fail; a nil return
-// means the crash took effect. The caller should then crash and reopen the
-// node.
+// DoomedCommit commits a transaction under the mid-flush crash schedule (see
+// midFlushCrash). The commit must fail; a nil return means the crash took
+// effect. The caller should then crash and reopen the node.
 func (c *Cluster) DoomedCommit(ctx context.Context, tx *cloudiq.Tx, flushes int) error {
-	if flushes < 1 {
-		flushes = 1
-	}
-	p := c.cfg.Plan
-	p.FailAfter(faultinject.ObjPut, flushes-1, -1)
-	p.Always(faultinject.ObjDelete)
-	p.Lag(faultinject.WALTornTail.With("commit"), 1, 8)
-	p.Always(faultinject.WALAppend.With("rollback"))
-	err := tx.Commit(ctx)
-	p.Clear(faultinject.ObjPut)
-	p.Clear(faultinject.ObjDelete)
-	p.Clear(faultinject.WALTornTail.With("commit"))
-	p.Clear(faultinject.WALAppend.With("rollback"))
-	if c.cfg.Ambient != nil {
-		c.cfg.Ambient(p)
-	}
-	if err == nil {
+	if err := c.midFlushCrash(flushes, func() error { return tx.Commit(ctx) }); err == nil {
 		return errors.New("simtest: mid-flush crash did not take effect")
 	}
 	return nil
 }
 
 // DoomedCompact runs one delta-compaction pass under the same mid-flush
-// crash schedule as DoomedCommit: after flushes successful page uploads
-// every storage operation fails, the drain's commit WAL record tears, and
-// rollback cannot reach the log either. Unlike DoomedCommit a nil compact
-// error is tolerated — an empty delta drains nothing and arms no faults —
-// because the caller crash-restarts the node regardless. Returns the
-// compactor's error for the step log.
+// crash schedule as DoomedCommit. Unlike DoomedCommit a nil compact error is
+// tolerated — an empty delta drains nothing and arms no faults — because the
+// caller crash-restarts the node regardless. Returns the compactor's error
+// for the step log.
 func (c *Cluster) DoomedCompact(ctx context.Context, db *cloudiq.Database, flushes int) error {
+	return c.midFlushCrash(flushes, func() error {
+		_, err := db.CompactDelta(ctx, space)
+		return err
+	})
+}
+
+// midFlushCrash runs op as if the process died during its page flush: after
+// flushes successful page uploads every storage operation fails, the commit
+// WAL record tears, and the automatic rollback cannot reach the log or the
+// store either. The plan's rules are then cleared and the ambient set
+// re-armed. Returns op's error.
+func (c *Cluster) midFlushCrash(flushes int, op func() error) error {
 	if flushes < 1 {
 		flushes = 1
 	}
@@ -387,7 +370,7 @@ func (c *Cluster) DoomedCompact(ctx context.Context, db *cloudiq.Database, flush
 	p.Always(faultinject.ObjDelete)
 	p.Lag(faultinject.WALTornTail.With("commit"), 1, 8)
 	p.Always(faultinject.WALAppend.With("rollback"))
-	_, err := db.CompactDelta(ctx, c.cfg.Space)
+	err := op()
 	p.Clear(faultinject.ObjPut)
 	p.Clear(faultinject.ObjDelete)
 	p.Clear(faultinject.WALTornTail.With("commit"))
@@ -421,7 +404,6 @@ func (c *Cluster) OpenReader(ctx context.Context, withCache bool) (*cloudiq.Data
 		LogDevice:       readerLog,
 		PrefetchWorkers: 1,
 		Scale:           c.cfg.Scale,
-		IOStats:         c.cfg.IOStats,
 		AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) {
 			return rfrb.Range{}, errors.New("simtest: readers do not allocate")
 		},
@@ -433,7 +415,7 @@ func (c *Cluster) OpenReader(ctx context.Context, withCache bool) (*cloudiq.Data
 	if withCache {
 		opts.CacheDevice = blockdev.NewMem(blockdev.Config{Capacity: 4 << 20})
 	}
-	if err := db.AttachCloudDbspace(c.cfg.Space, c.cfg.Store, opts); err != nil {
+	if err := db.AttachCloudDbspace(space, c.cfg.Store, opts); err != nil {
 		return nil, err
 	}
 	if err := db.RecoverAsReader(ctx); err != nil {
